@@ -167,6 +167,24 @@ impl StallKind {
     }
 }
 
+/// Core ticks `[start, end)` run in closed form, counted by class (see
+/// [`RunAttrib::on_ticks`]); the ticks not counted here are memory stalls.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TickSpan {
+    /// First tick of the span.
+    pub start: Cycle,
+    /// One past the last tick of the span.
+    pub end: Cycle,
+    /// Ticks that retired at least one instruction.
+    pub progress: Cycle,
+    /// Non-retiring ticks with a hit in flight at the head.
+    pub hit_wait: Cycle,
+    /// Non-retiring ticks whose head could not issue.
+    pub backpressure: Cycle,
+    /// Head state after the span's last tick.
+    pub head: StallKind,
+}
+
 /// Cause accounting of one completed blocking memory request, as
 /// materialized by `asm-dram` at issue time.
 ///
@@ -420,6 +438,30 @@ impl RunAttrib {
         }
         t.gap = head;
         t.last_acct = now + 1;
+    }
+
+    /// Account the core ticks `[span.start, span.end)` that were run in
+    /// closed form rather than one by one. Exactly what `on_tick` for each
+    /// of them would record: no completion arrives inside a span, so its
+    /// memory-stall ticks — the ones not counted as progress, hit-wait or
+    /// backpressure — are its last ticks, and the integer ledger stays
+    /// conserved.
+    pub fn on_ticks(&mut self, app: usize, span: &TickSpan) {
+        let t = &mut self.trackers[app];
+        Self::close_gap(t, &mut self.ledger, app, span.start);
+        let row = &mut self.ledger[app * COMPONENTS..(app + 1) * COMPONENTS];
+        row[Component::Compute.index()] += span.progress;
+        row[Component::HitWait.index()] += span.hit_wait;
+        row[Component::Backpressure.index()] += span.backpressure;
+        let mem = span.end - span.start - span.progress - span.hit_wait - span.backpressure;
+        if mem > 0 {
+            if t.pending_mem == 0 {
+                t.episode_start = span.end - mem;
+            }
+            t.pending_mem += mem;
+        }
+        t.gap = span.head;
+        t.last_acct = span.end;
     }
 
     /// The completion unblocking `app`'s reorder-buffer head arrived at
@@ -746,6 +788,68 @@ mod tests {
         let mut out = [0; 2];
         apportion(9, &[0, 0], &mut out);
         assert_eq!(out, [9, 0]);
+    }
+
+    /// `on_ticks` leaves the tracker exactly as ticking one by one does.
+    #[test]
+    fn tick_span_matches_ticking_one_by_one() {
+        let state = |run: &RunAttrib| {
+            let mut w = StateWriter::new("attrib-span", 1);
+            run.save_state(&mut w);
+            w.finish()
+        };
+        let ep = MemEpisode {
+            service: 7,
+            cause: [3, 5, 0],
+            induced: 0,
+            induced_by: None,
+            pollution: false,
+        };
+        // A span mixing immediate classes and ending in memory stalls,
+        // starting after an earlier stall is already pending.
+        let classes = [
+            StallKind::Progress,
+            StallKind::HitWait,
+            StallKind::Progress,
+            StallKind::Backpressure,
+            StallKind::MemStall,
+            StallKind::MemStall,
+        ];
+        for pending_before in [false, true] {
+            let mut ticked = RunAttrib::new(1);
+            let mut spanned = RunAttrib::new(1);
+            let start = if pending_before {
+                ticked.on_tick(0, 0, false, StallKind::MemStall);
+                spanned.on_tick(0, 0, false, StallKind::MemStall);
+                4
+            } else {
+                0
+            };
+            for (i, &k) in classes.iter().enumerate() {
+                ticked.on_tick(0, start + i as Cycle, k == StallKind::Progress, k);
+            }
+            spanned.on_ticks(
+                0,
+                &TickSpan {
+                    start,
+                    end: start + classes.len() as Cycle,
+                    progress: 2,
+                    hit_wait: 1,
+                    backpressure: 1,
+                    head: StallKind::MemStall,
+                },
+            );
+            assert_eq!(state(&ticked), state(&spanned));
+            let done = start + 20;
+            assert_eq!(
+                ticked.on_blocking_completion(0, done, &ep),
+                spanned.on_blocking_completion(0, done, &ep)
+            );
+            let blame = vec![0; 3];
+            assert!(ticked.end_quantum(40, &blame).conserved());
+            assert!(spanned.end_quantum(40, &blame).conserved());
+            assert_eq!(state(&ticked), state(&spanned));
+        }
     }
 
     /// Drive a tiny two-core scenario end to end and check conservation.

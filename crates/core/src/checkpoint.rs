@@ -43,7 +43,9 @@ pub const SNAPSHOT_FORMAT: &str = "asm-snapshot";
 /// Version of [`SNAPSHOT_FORMAT`].
 /// v2: appended the attribution presence flag (and ledger state when on)
 /// after the telemetry section.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// v3: run-length core state (compute runs, head-relative entry ids,
+/// tick position) and the core-tick counter.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Format name of a binary per-run result manifest.
 pub const MANIFEST_FORMAT: &str = "asm-run-manifest";

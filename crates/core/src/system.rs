@@ -17,7 +17,7 @@
 //!    [`AccessEvent`]s along the way.
 
 
-use asm_attrib::{Component, MemEpisode, QuantumLedger, RunAttrib, StallKind, COMPONENTS};
+use asm_attrib::{Component, MemEpisode, QuantumLedger, RunAttrib, StallKind, TickSpan, COMPONENTS};
 use asm_cache::{AuxiliaryTagStore, PollutionFilter, SetAssocCache, WayPartition};
 use asm_cpu::{AppProfile, Core, HeadStall, MemIssueResult, ProgressLog, StridePrefetcher};
 use asm_dram::{Completion, MemRequest, MemorySystem};
@@ -584,6 +584,37 @@ struct SysAttrib {
     s_blame: Vec<SeriesId>,
 }
 
+/// Runs the ticks `core` skipped since its last one, up to the start of
+/// `now`, in closed form (`Core::advance_to`), recording the progress
+/// milestones they cross into `log` and their attribution classes into
+/// the ledger. A no-op when the core is already current.
+fn catch_up(
+    core: &mut Core,
+    idx: usize,
+    now: Cycle,
+    log: Option<&mut ProgressLog>,
+    attrib: Option<&mut SysAttrib>,
+) {
+    let start = core.next_tick();
+    if start >= now {
+        return;
+    }
+    let span = core.advance_to(now, log);
+    if let Some(att) = attrib {
+        att.run.on_ticks(
+            idx,
+            &TickSpan {
+                start,
+                end: now,
+                progress: span.progress,
+                hit_wait: span.hit_wait,
+                backpressure: span.backpressure,
+                head: stall_kind(core.head_stall(now - 1)),
+            },
+        );
+    }
+}
+
 /// Maps the core's reported head state onto the ledger's stall taxonomy.
 fn stall_kind(h: HeadStall) -> StallKind {
     match h {
@@ -658,6 +689,10 @@ pub struct System {
     /// Cycles actually executed (ticked); with skip mode the rest of
     /// `now` was jumped over. Diagnostic for the throughput bench.
     executed_cycles: u64,
+    /// `Core::tick` calls; with skip mode the other core cycles were
+    /// elided or caught up in closed form. Diagnostic, like
+    /// `executed_cycles`.
+    core_ticks: u64,
     /// Count of hierarchy mutations outside the memory system (LLC/MSHR
     /// changes); `hier_version + mem.mutation_count()` is the version the
     /// stall memo compares against (DESIGN.md §8).
@@ -666,15 +701,20 @@ pub struct System {
     /// stalled. While the version is unchanged a re-attempt would stall
     /// identically with zero side effects, so the tick is elided.
     stall_memo: Vec<Option<u64>>,
-    /// Per core: cached `Core::next_event` from its last tick — a lower
-    /// bound on the next cycle its tick can do real (non-stall-retry)
-    /// work. `NEVER` means blocked on an external completion. Refreshed
-    /// after every tick, reset to "check now" on completion delivery and
-    /// at quantum boundaries (throttling can change the MLP cap). Skip
-    /// mode only: saves two cross-crate calls per core per executed cycle
-    /// in both the tick guard and the fast-forward fold.
+    /// Per core: cached `Core::next_event` from its last tick — the next
+    /// cycle its tick does more than retire and fetch non-memory ops or
+    /// retry a stalled issue; the ticks before it are elided and caught up
+    /// in closed form. `NEVER` means blocked on an external completion.
+    /// Refreshed after every tick, reset to "check now" on completion
+    /// delivery and at quantum boundaries (throttling can change the MLP
+    /// cap). Skip mode only: saves two cross-crate calls per core per
+    /// executed cycle in both the tick guard and the fast-forward fold.
     core_wake: Vec<Cycle>,
     last_quantum_end: Cycle,
+    /// The next cycle at which a quantum or epoch boundary can fire; no
+    /// cycle before it needs the boundary arithmetic. A cache derived from
+    /// the configuration and the clock (0 = recompute), not saved.
+    boundary_at: Cycle,
     retired_at_quantum_start: Vec<u64>,
     dropped_writebacks: u64,
     completion_buf: Vec<Completion>,
@@ -851,10 +891,12 @@ impl System {
             next_req: 0,
             active_only,
             executed_cycles: 0,
+            core_ticks: 0,
             hier_version: 0,
             stall_memo: vec![None; n],
             core_wake: vec![0; n],
             last_quantum_end: 0,
+            boundary_at: 0,
             retired_at_quantum_start: vec![0; n],
             dropped_writebacks: 0,
             completion_buf: Vec::new(),
@@ -953,6 +995,7 @@ impl System {
                 reg.set_named(&names::dram_bank_row_misses(ch, b), misses);
             }
             reg.set_named(names::SYS_EXECUTED_CYCLES, self.executed_cycles);
+            reg.set_named(names::SYS_CORE_TICKS, self.core_ticks);
             reg.set_named(names::SYS_DROPPED_WRITEBACKS, self.dropped_writebacks);
         }
         let tele = std::mem::replace(
@@ -1100,18 +1143,7 @@ impl System {
     /// adjustment; the result is bitwise-identical to stepping every
     /// cycle (DESIGN.md §8 "Fast-forward without nondeterminism").
     pub fn run_for(&mut self, cycles: Cycle) {
-        let end = self.now + cycles;
-        while self.now < end {
-            self.step();
-            if self.config.skip_mode {
-                // `step` executed cycle `now - 1` and every component is
-                // now quiescent until its next event; jump straight there.
-                let next = self.next_event_cycle(self.now - 1);
-                if next > self.now {
-                    self.now = next.min(end);
-                }
-            }
-        }
+        self.run_prefix(cycles);
         let now = self.now;
         if now > self.last_quantum_end && now.is_multiple_of(self.config.quantum) {
             self.end_quantum(now);
@@ -1133,28 +1165,30 @@ impl System {
         while self.now < end {
             self.step();
             if self.config.skip_mode {
+                // `step` executed cycle `now - 1` and every component is
+                // now quiescent until its next event; jump straight there.
                 let next = self.next_event_cycle(self.now - 1);
                 if next > self.now {
                     self.now = next.min(end);
                 }
             }
         }
+        self.sync_cores();
     }
 
     /// The earliest cycle after `executed` at which *anything* in the
-    /// system can change state: a core fetch/retire/unstall, a memory
+    /// system needs a real step: a core's next memory-op fetch, a memory
     /// completion / scheduler retry / refresh, or a quantum/epoch
     /// boundary (boundaries run estimator, mechanism and RNG work and
-    /// must fire on their exact cycle). Progress logging needs no entry
-    /// of its own: retired counts only move on executed core ticks, and
-    /// every executed tick records milestones.
+    /// must fire on their exact cycle). Cores keep retiring and fetching
+    /// non-memory ops on the cycles jumped over; that work is caught up in
+    /// closed form before the core is next ticked or read (see
+    /// `sync_cores`). Progress logging needs no entry of its own: the
+    /// catch-up records each milestone at the exact cycle it was crossed.
     fn next_event_cycle(&self, executed: Cycle) -> Cycle {
-        let q = self.config.quantum;
-        let mut next = (executed / q + 1) * q;
-        if self.config.epochs_enabled {
-            let e = self.config.epoch;
-            next = next.min((executed / e + 1) * e);
-        }
+        // `step(executed)` left `boundary_at` at the first boundary after
+        // `executed`.
+        let mut next = self.boundary_at;
         if let Some(m) = self.mem.next_event(executed) {
             next = next.min(m);
         }
@@ -1180,25 +1214,55 @@ impl System {
         self.executed_cycles
     }
 
-    /// Advances the simulation by one cycle.
-    pub fn step(&mut self) {
+    /// `Core::tick` calls so far. Stepping every cycle, that is executed
+    /// cycles × active cores; skip mode elides or catches up the rest.
+    #[must_use]
+    pub fn core_ticks(&self) -> u64 {
+        self.core_ticks
+    }
+
+    /// Advances the simulation by one cycle. In skip mode cores may be
+    /// left behind `now` (see [`sync_cores`](Self::sync_cores)).
+    fn step(&mut self) {
         let now = self.now;
         self.executed_cycles += 1;
-        if now > self.last_quantum_end && now.is_multiple_of(self.config.quantum) {
-            self.end_quantum(now);
-        }
-        if self.config.epochs_enabled && now.is_multiple_of(self.config.epoch) {
-            self.begin_epoch(now);
-        }
-        self.tick_hierarchy(now);
-        if self.record_progress {
-            for i in 0..self.cores.len() {
-                if self.is_active(i) {
-                    self.progress[i].record(self.cores[i].retired(), now);
-                }
+        if now >= self.boundary_at {
+            let quantum_end =
+                now > self.last_quantum_end && now.is_multiple_of(self.config.quantum);
+            let epoch_start = self.config.epochs_enabled && now.is_multiple_of(self.config.epoch);
+            if quantum_end || epoch_start {
+                self.sync_cores();
+            }
+            if quantum_end {
+                self.end_quantum(now);
+            }
+            if epoch_start {
+                self.begin_epoch(now);
+            }
+            let q = self.config.quantum;
+            self.boundary_at = (now / q + 1) * q;
+            if self.config.epochs_enabled {
+                let e = self.config.epoch;
+                self.boundary_at = self.boundary_at.min((now / e + 1) * e);
             }
         }
+        self.tick_hierarchy(now);
         self.now = now + 1;
+    }
+
+    /// Brings every active core up to `now`: runs the ticks skip mode
+    /// elided since each core's last tick in closed form, recording their
+    /// progress milestones and attribution classes. Called before anything
+    /// reads or changes core state outside a tick — boundaries, and the
+    /// end of a run (so getters and snapshots see current cores).
+    fn sync_cores(&mut self) {
+        let now = self.now;
+        for (idx, core) in self.cores.iter_mut().enumerate() {
+            if self.active_only.is_none_or(|a| a.index() == idx) {
+                let log = self.record_progress.then(|| &mut self.progress[idx]);
+                catch_up(core, idx, now, log, self.attrib.as_deref_mut());
+            }
+        }
     }
 
     fn is_active(&self, idx: usize) -> bool {
@@ -1534,6 +1598,7 @@ impl System {
         w.u64(self.now);
         w.u64(self.next_req);
         w.u64(self.executed_cycles);
+        w.u64(self.core_ticks);
         w.u64(self.hier_version);
         for &m in &self.stall_memo {
             w.opt_u64(m);
@@ -1666,6 +1731,7 @@ impl System {
         let now = r.u64()?;
         let next_req = r.u64()?;
         let executed_cycles = r.u64()?;
+        let core_ticks = r.u64()?;
         let hier_version = r.u64()?;
         let mut stall_memo = Vec::with_capacity(n);
         for _ in 0..n {
@@ -1704,10 +1770,12 @@ impl System {
         self.now = now;
         self.next_req = next_req;
         self.executed_cycles = executed_cycles;
+        self.core_ticks = core_ticks;
         self.hier_version = hier_version;
         self.stall_memo = stall_memo;
         self.core_wake = core_wake;
         self.last_quantum_end = last_quantum_end;
+        self.boundary_at = 0;
         self.retired_at_quantum_start = retired_at_quantum_start;
         self.dropped_writebacks = dropped_writebacks;
         self.quantum_interference = quantum_interference;
@@ -1737,9 +1805,12 @@ impl System {
             hier_version,
             stall_memo,
             core_wake,
+            core_ticks,
             quantum_interference,
             telemetry,
             attrib,
+            progress,
+            record_progress,
             ..
         } = self;
 
@@ -1762,6 +1833,7 @@ impl System {
             quantum_interference,
             telemetry,
             attrib,
+            progress: record_progress.then_some(progress),
         };
 
         // Memory tick + completions.
@@ -1783,21 +1855,22 @@ impl System {
             let app = AppId::new(idx);
             let core = &mut cores[idx];
             if hier.config.skip_mode && core_wake[idx] > now {
-                // `core_wake` says no real (non-stall-retry) work is
-                // possible before that cycle, and no completion has been
-                // delivered since it was cached — so the tick is either a
-                // provable no-op (elided outright) or could only
-                // re-attempt a stalled issue, which is elided while the
-                // hierarchy version is unchanged (the re-attempt would
-                // return the same Stall with zero side effects). Both are
-                // exact no-ops, so the cycle-mode trajectory is preserved
-                // bit for bit.
+                // `core_wake` says the core fetches no memory op before
+                // that cycle, and no completion has been delivered since
+                // it was cached — so the tick only retires and fetches
+                // non-memory ops (caught up in closed form before the
+                // core's next real tick), plus at most a re-attempt of a
+                // stalled issue, which is elided while the hierarchy
+                // version is unchanged (the re-attempt would return the
+                // same Stall with zero side effects). The cycle-mode
+                // trajectory is preserved bit for bit.
                 match stall_memo[idx] {
                     None => continue,
                     Some(v) if v == *hier.version + hier.mem.mutation_count() => continue,
                     Some(_) => {}
                 }
             }
+            hier.catch_up(core, idx, now);
             let retired_before = if hier.attrib.is_some() {
                 core.retired()
             } else {
@@ -1812,13 +1885,17 @@ impl System {
                 r
             });
             stall_memo[idx] = stalled_at;
+            *core_ticks += 1;
+            if let Some(progress) = hier.progress.as_deref_mut() {
+                progress[idx].record(core.retired(), now);
+            }
             if let Some(att) = hier.attrib.as_deref_mut() {
                 let progressed = core.retired() > retired_before;
                 let head = stall_kind(core.head_stall(now));
                 att.run.on_tick(idx, now, progressed, head);
             }
             if hier.config.skip_mode {
-                core_wake[idx] = core.next_event(now).unwrap_or(NEVER);
+                core_wake[idx] = core.next_event().unwrap_or(NEVER);
             }
         }
     }
@@ -1848,9 +1925,17 @@ struct Hier<'a> {
     quantum_interference: &'a mut Vec<Cycle>,
     telemetry: &'a mut SysTelemetry,
     attrib: &'a mut Option<Box<SysAttrib>>,
+    /// The per-core progress logs, when progress logging is on.
+    progress: Option<&'a mut Vec<ProgressLog>>,
 }
 
 impl Hier<'_> {
+    /// [`catch_up`] with this cycle's progress logs and ledger.
+    fn catch_up(&mut self, core: &mut Core, idx: usize, now: Cycle) {
+        let log = self.progress.as_deref_mut().map(|p| &mut p[idx]);
+        catch_up(core, idx, now, log, self.attrib.as_deref_mut());
+    }
+
     fn fresh_id(&mut self) -> u64 {
         *self.next_req += 1;
         *self.next_req
@@ -1869,6 +1954,9 @@ impl Hier<'_> {
             return; // e.g. a dropped-writeback artefact; cannot happen for reads
         };
         *self.version += 1;
+        // The core must be current before its head is read or changed.
+        let idx = entry.app.index();
+        self.catch_up(&mut cores[idx], idx, now);
         // Ground-truth attribution: if this completion unblocks the waiting
         // core's reorder-buffer head, close the pending memory-stall episode
         // with this request's cause accounting — before delivery below
@@ -2293,6 +2381,31 @@ mod tests {
         assert_eq!(run(false), run(true));
     }
 
+    /// Stepping every cycle ticks every active core every cycle; skip
+    /// mode elides ticks and catches them up in closed form, never adding
+    /// any (here, most of them: the mix's compute-heavy app is caught up
+    /// rather than ticked).
+    #[test]
+    fn core_ticks_count_real_ticks() {
+        for skip in [false, true] {
+            let mut c = small_config();
+            c.skip_mode = skip;
+            let mut shared = System::new(&two_apps(), c.clone());
+            shared.run_for(120_000);
+            let mut alone = System::new_alone(&two_apps(), c, AppId::new(1));
+            alone.run_for(120_000);
+            for (sys, active) in [(&shared, 2), (&alone, 1)] {
+                let every = sys.executed_cycles() * active;
+                if skip {
+                    assert!(sys.core_ticks() <= every);
+                    assert!(sys.core_ticks() * 10 < 120_000 * active);
+                } else {
+                    assert_eq!(sys.core_ticks(), every);
+                }
+            }
+        }
+    }
+
     #[test]
     fn telemetry_collects_counters_series_and_trace() {
         let mut sys = System::new(&two_apps(), small_config());
@@ -2313,6 +2426,7 @@ mod tests {
         assert_eq!(get("llc.app0.misses"), s0.llc_misses);
         assert_eq!(get("core1.retired"), sys.retired(AppId::new(1)));
         assert_eq!(get("sys.executed_cycles"), sys.executed_cycles());
+        assert_eq!(get(names::SYS_CORE_TICKS), sys.core_ticks());
 
         // Per-quantum series sampled at each boundary.
         let est = t.series.id_of("app0.est_slowdown").expect("series exists");
@@ -2351,6 +2465,53 @@ mod tests {
             )
         };
         assert_eq!(run(false), run(true));
+    }
+
+    /// The closed-form catch-up feeds the ledger and the progress logs
+    /// exactly what ticking every cycle does: both match plain stepping
+    /// cycle for cycle, in a shared run and in an alone run, across a
+    /// run split at an odd cycle. A slow LLC and a tiny read queue make
+    /// the caught-up spans hold hit-wait and backpressure ticks too.
+    #[test]
+    fn skip_mode_matches_plain_ledger_and_progress() {
+        type Ledgers = Vec<(Cycle, Cycle, Vec<Cycle>, Vec<Cycle>)>;
+        let run = |skip: bool, alone: bool| -> (Ledgers, Vec<Cycle>, u64) {
+            let mut c = small_config();
+            c.llc_latency = 120;
+            c.dram.read_queue_capacity = 16;
+            c.skip_mode = skip;
+            let mut sys = if alone {
+                System::new_alone(&two_apps(), c, AppId::new(1))
+            } else {
+                System::new(&two_apps(), c)
+            };
+            sys.enable_attribution();
+            sys.enable_progress_logging();
+            sys.run_for(61_234);
+            sys.run_for(38_766);
+            let ledgers = sys
+                .attrib_quanta()
+                .expect("attribution on")
+                .iter()
+                .map(|q| (q.start, q.end, q.ledger.clone(), q.blame.clone()))
+                .collect();
+            let progress = sys.progress_log(AppId::new(1)).milestone_cycles().to_vec();
+            (ledgers, progress, sys.retired(AppId::new(1)))
+        };
+        let mut seen = [0; COMPONENTS];
+        for alone in [false, true] {
+            let plain = run(false, alone);
+            assert!(!plain.0.is_empty() && !plain.1.is_empty());
+            for q in &plain.0 {
+                for (k, &c) in q.2.iter().enumerate() {
+                    seen[k % COMPONENTS] += c;
+                }
+            }
+            assert_eq!(run(true, alone), plain, "alone run: {alone}");
+        }
+        for comp in [Component::HitWait, Component::Backpressure] {
+            assert!(seen[comp.index()] > 0, "no {comp:?} cycles checked");
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@ use std::collections::VecDeque;
 use asm_simcore::{AppId, Cycle, LineAddr};
 
 use crate::appmodel::AppProfile;
+use crate::progress::ProgressLog;
 use crate::source::AccessSource;
 use crate::stream::{AddressStream, MemOp};
 
@@ -47,9 +48,16 @@ pub enum HeadStall {
     MemStall,
 }
 
+/// One reorder-buffer entry. Non-memory instructions are stored as runs;
+/// every memory instruction keeps an entry of its own.
 #[derive(Debug, Clone, Copy)]
-enum SlotState {
-    /// Completes (and may retire) at the given cycle.
+enum Entry {
+    /// `n ≥ 1` consecutive non-memory instructions. A non-memory op
+    /// completes the cycle after the tick that fetched it, and a tick
+    /// retires before it fetches, so every op of a run is ready at every
+    /// later tick: the run needs no timestamp.
+    Compute(u64),
+    /// A memory operation whose data arrives at the given cycle.
     Done(Cycle),
     /// A memory operation waiting to be issued to the hierarchy.
     WaitIssue(MemOp),
@@ -57,11 +65,55 @@ enum SlotState {
     Outstanding,
 }
 
+/// How the ticks [`Core::advance_to`] ran in closed form were spent, one
+/// count per cycle: a tick that retired anything is progress, any other
+/// tick is classified by [`Core::head_stall`] after it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SpanClasses {
+    /// Ticks that retired at least one instruction.
+    pub progress: u64,
+    /// Non-retiring ticks whose head was a hit still in flight.
+    pub hit_wait: u64,
+    /// Non-retiring ticks whose head was waiting to issue.
+    pub backpressure: u64,
+    /// Non-retiring ticks whose head was an outstanding miss. No
+    /// completion arrives inside a span, so these are its last ticks.
+    pub mem_stall: u64,
+    /// The first of the `mem_stall` ticks.
+    pub first_mem_stall: Option<Cycle>,
+}
+
+/// Where [`Core::walk`] stopped.
+#[derive(Debug, Clone, Copy)]
+struct Walked {
+    /// The first tick not simulated.
+    t: Cycle,
+    /// Whether `t` is the tick that fetches the next memory op.
+    fetch: bool,
+    retired: u64,
+    fetched: u64,
+    /// Ops fetched by the tick at `t - 1`.
+    last_fetch: u64,
+}
+
+/// `min(k, budget / per)`, dividing only when the budget binds (a
+/// 64-bit division costs more than the rest of a walk step).
+#[inline]
+fn at_most(k: u64, budget: u64, per: u64) -> u64 {
+    if k.checked_mul(per).is_some_and(|n| n <= budget) {
+        k
+    } else {
+        budget / per
+    }
+}
+
 /// The out-of-order core for one application.
 ///
 /// Drive it by calling [`tick`](Self::tick) once per cycle with a callback
 /// that performs the cache access, and [`complete`](Self::complete) when a
-/// pending access's data returns.
+/// pending access's data returns. A caller may instead skip the ticks
+/// before [`next_event`](Self::next_event) that no memory answer can
+/// affect and catch them up with [`advance_to`](Self::advance_to).
 ///
 /// # Examples
 ///
@@ -92,15 +144,30 @@ pub struct Core {
     mlp_cap: u32,
 
     mlp_throttle: Option<u32>,
-    rob: VecDeque<SlotState>,
-    first_id: u64,
-    next_id: u64,
+    rob: VecDeque<Entry>,
+    /// Sequence number of `rob[0]`: entry `s` lives at `rob[s - first_seq]`.
+    /// Snapshots store head-relative indices instead, so equal windows
+    /// encode to equal bytes however the entries were created.
+    first_seq: u64,
+    /// Instructions in the window (the entries' op counts summed).
+    rob_ops: u64,
+    /// Sequence numbers of the entries waiting to issue, in program order.
     waiting: VecDeque<u64>,
-    /// Outstanding (token, instruction id) pairs. At most `mlp` entries
-    /// (single digits), so a linear vector beats any map.
+    /// Outstanding (token, entry sequence number) pairs. At most `mlp`
+    /// entries (single digits), so a linear vector beats any map.
     tokens: Vec<(u64, u64)>,
     outstanding: u32,
     gap_left: u64,
+    /// The next cycle to tick: the state is the one after the tick at
+    /// `next_tick - 1`.
+    next_tick: Cycle,
+    /// Instructions fetched by the tick at `next_tick - 1`; they are the
+    /// youngest ops in the window.
+    fetched_last: u64,
+    /// The walk [`next_event`](Self::next_event) ran from the current
+    /// state, and how its ticks were spent, so that catching up to exactly
+    /// that cycle does not walk again. Dropped by every state change.
+    ahead: Option<(Walked, SpanClasses)>,
 
     retired: u64,
     mem_ops_issued: u64,
@@ -111,9 +178,9 @@ pub struct Core {
     /// stalled head op, and an op's first stall always happens on an
     /// executed tick.
     stall_episodes: u64,
-    /// Id of the last op whose stall was counted, so retries don't
-    /// re-count it.
-    last_stall_id: Option<u64>,
+    /// Whether the first waiting op's stall is already counted, so
+    /// retries don't re-count it.
+    stall_counted: bool,
 }
 
 /// The paper's window size (Table 2).
@@ -199,17 +266,20 @@ impl Core {
             width,
             mlp_cap: mlp,
             mlp_throttle: None,
-            rob: VecDeque::with_capacity(window),
-            first_id: 0,
-            next_id: 0,
+            rob: VecDeque::new(),
+            first_seq: 0,
+            rob_ops: 0,
             waiting: VecDeque::new(),
             tokens: Vec::new(),
             outstanding: 0,
             gap_left,
+            next_tick: 0,
+            fetched_last: 0,
+            ahead: None,
             retired: 0,
             mem_ops_issued: 0,
             stall_episodes: 0,
-            last_stall_id: None,
+            stall_counted: false,
         }
     }
 
@@ -244,6 +314,14 @@ impl Core {
         self.outstanding
     }
 
+    /// The next cycle to tick: every tick before it has been run, by
+    /// [`tick`](Self::tick) or in closed form by
+    /// [`advance_to`](Self::advance_to).
+    #[must_use]
+    pub fn next_tick(&self) -> Cycle {
+        self.next_tick
+    }
+
     /// The application's intrinsic MLP cap (ignoring any throttle).
     #[must_use]
     pub fn base_mlp(&self) -> u32 {
@@ -275,127 +353,319 @@ impl Core {
         (u.ln() / log1mp) as u64
     }
 
+    fn push_entry(&mut self, e: Entry) -> u64 {
+        let seq = self.first_seq + self.rob.len() as u64;
+        self.rob.push_back(e);
+        seq
+    }
+
+    fn push_compute(&mut self, n: u64) {
+        match self.rob.back_mut() {
+            Some(Entry::Compute(run)) => *run += n,
+            _ => self.rob.push_back(Entry::Compute(n)),
+        }
+    }
+
+    fn pop_head(&mut self) {
+        self.rob.pop_front();
+        self.first_seq += 1;
+    }
+
     /// Advances the core one cycle. `issue` is called for each memory
     /// operation ready to access the hierarchy this cycle.
     pub fn tick(&mut self, now: Cycle, issue: &mut dyn FnMut(LineAddr, bool) -> MemIssueResult) {
+        self.ahead = None;
+        let width = self.width as u64;
         // 1) In-order retirement, up to `width` per cycle.
-        let mut retired_now = 0;
-        while retired_now < self.width {
-            match self.rob.front() {
-                Some(SlotState::Done(c)) if *c <= now => {
-                    self.rob.pop_front();
-                    self.first_id += 1;
-                    self.retired += 1;
-                    retired_now += 1;
+        let mut budget = width;
+        while budget > 0 {
+            match self.rob.front_mut() {
+                Some(Entry::Compute(n)) => {
+                    let k = (*n).min(budget);
+                    *n -= k;
+                    budget -= k;
+                    if *n == 0 {
+                        self.pop_head();
+                    }
+                }
+                Some(Entry::Done(c)) if *c <= now => {
+                    self.pop_head();
+                    budget -= 1;
                 }
                 _ => break,
             }
         }
+        let retired_now = width - budget;
+        self.retired += retired_now;
+        self.rob_ops -= retired_now;
 
         // 2) Fetch up to `width` new instructions into the window.
+        let room = (self.window as u64 - self.rob_ops).min(width);
         let mut fetched = 0;
-        while fetched < self.width && self.rob.len() < self.window {
+        while fetched < room {
             if self.gap_left == 0 {
                 let op = self.source.next_op();
-                self.rob.push_back(SlotState::WaitIssue(op));
-                self.waiting.push_back(self.next_id);
+                let seq = self.push_entry(Entry::WaitIssue(op));
+                self.waiting.push_back(seq);
                 self.gap_left = Self::sample_gap(&mut self.typ_rng, self.mem_prob, self.gap_log1mp);
+                fetched += 1;
             } else {
-                self.gap_left -= 1;
-                self.rob.push_back(SlotState::Done(now + 1));
+                let k = self.gap_left.min(room - fetched);
+                self.gap_left -= k;
+                self.push_compute(k);
+                fetched += k;
             }
-            self.next_id += 1;
-            fetched += 1;
         }
+        self.rob_ops += fetched;
+        self.fetched_last = fetched;
+        self.next_tick = now + 1;
 
         // 3) Issue waiting memory operations (program order) while under
         // the (possibly throttled) MLP cap.
         while self.outstanding < self.effective_mlp() {
-            let Some(&id) = self.waiting.front() else {
+            let Some(&seq) = self.waiting.front() else {
                 break;
             };
-            let idx = (id - self.first_id) as usize;
-            let SlotState::WaitIssue(op) = self.rob[idx] else {
-                unreachable!("waiting queue points at a non-waiting slot");
+            let idx = (seq - self.first_seq) as usize;
+            let Entry::WaitIssue(op) = self.rob[idx] else {
+                unreachable!("waiting queue points at a non-waiting entry");
             };
             match issue(op.line, op.is_write) {
                 MemIssueResult::Completed(c) => {
-                    self.rob[idx] = SlotState::Done(c);
-                    self.waiting.pop_front();
-                    self.mem_ops_issued += 1;
+                    self.rob[idx] = Entry::Done(c);
                 }
                 MemIssueResult::Pending(token) => {
-                    self.rob[idx] = SlotState::Outstanding;
-                    self.tokens.push((token, id));
-                    self.waiting.pop_front();
+                    self.rob[idx] = Entry::Outstanding;
+                    self.tokens.push((token, seq));
                     self.outstanding += 1;
-                    self.mem_ops_issued += 1;
                 }
                 MemIssueResult::Stall => {
-                    if self.last_stall_id != Some(id) {
-                        self.last_stall_id = Some(id);
+                    if !self.stall_counted {
+                        self.stall_counted = true;
                         self.stall_episodes += 1;
                     }
                     break;
                 }
             }
+            self.waiting.pop_front();
+            self.stall_counted = false;
+            self.mem_ops_issued += 1;
         }
     }
 
-    /// The next cycle at which [`tick`](Self::tick) could change this
-    /// core's state, assuming the memory hierarchy's answers stay frozen
-    /// until then. `None` means the core is blocked on an external event
-    /// (a [`complete`](Self::complete) call, or a stall clearing) — both
-    /// of which only happen on cycles the memory system itself reports as
-    /// events, so a driver folding this with the memory system's
-    /// `next_event` never misses a wake-up (see DESIGN.md §8).
-    ///
-    /// Must be called *after* `tick(now, ..)`; the answer relies on the
-    /// post-tick invariant that a non-empty issue queue under the MLP cap
-    /// means the last issue attempt stalled.
-    #[must_use]
-    #[inline]
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        // The window has room: fetch makes progress every cycle.
-        if self.rob.len() < self.window {
-            return Some(now + 1);
+    /// Runs the ticks `next_tick..end` in closed form on a read-only view
+    /// of the core, stopping early at the tick that would fetch a memory
+    /// op. Valid while no issue attempt can succeed and no completion
+    /// arrives: a tick then only retires ready ops and fetches non-memory
+    /// ops, so each stretch of ticks that retire and fetch the same
+    /// amounts is one step, and the cost grows with the entries in the
+    /// window, not with cycles. `visit` sees every stretch as `(first
+    /// tick, ticks, retired per tick, class)`.
+    fn walk(&self, end: Cycle, mut visit: impl FnMut(Cycle, u64, u64, HeadStall)) -> Walked {
+        let width = self.width as u64;
+        let window = self.window as u64;
+        let mut t = self.next_tick;
+        let mut len = self.rob_ops;
+        let mut gap = self.gap_left;
+        // `ready` ops lie between the head and `next`, the first entry
+        // not known to be ready at `t`.
+        let mut ready = 0;
+        let mut entries = self.rob.iter().copied();
+        let mut next = entries.next();
+        let (mut retired, mut fetched, mut last_fetch) = (0, 0, self.fetched_last);
+        while t < end {
+            let blocker = loop {
+                match next {
+                    Some(Entry::Compute(n)) => ready += n,
+                    Some(Entry::Done(c)) if c <= t => ready += 1,
+                    other => break other,
+                }
+                next = entries.next();
+            };
+            // Without a blocker every op in the window is ready, the ones
+            // fetched by this walk included: they are the youngest.
+            let (avail, horizon) = match blocker {
+                None => (len, end),
+                Some(Entry::Done(c)) => (ready, end.min(c)),
+                Some(_) => (ready, end),
+            };
+            let r = avail.min(width);
+            // `f >= r`: retiring `r` frees `r` slots.
+            let f = (window - len + r).min(width);
+            // How many ticks in a row retire `r` and fetch `f`.
+            let mut k = horizon - t;
+            match blocker {
+                None if r == f => {}
+                Some(_) if r == 0 && f == 0 => {}
+                Some(_) if r == width => k = at_most(k, avail, width),
+                Some(_) if r == 0 && f == width => k = at_most(k, window - len, width),
+                _ => k = 1,
+            }
+            // Fetching the `gap + 1`-th op is the memory op's tick.
+            if f > 0 {
+                k = at_most(k, gap, f);
+                if k == 0 {
+                    return Walked {
+                        t,
+                        fetch: true,
+                        retired,
+                        fetched,
+                        last_fetch,
+                    };
+                }
+            }
+            let class = match blocker {
+                _ if r > 0 => HeadStall::Progress,
+                // An empty window's head is the op fetched this tick.
+                None | Some(Entry::Done(_)) => HeadStall::HitWait,
+                Some(Entry::WaitIssue(_)) => HeadStall::Backpressure,
+                Some(_) => HeadStall::MemStall,
+            };
+            visit(t, k, r, class);
+            t += k;
+            len += k * (f - r);
+            gap -= k * f;
+            fetched += k * f;
+            retired += k * r;
+            ready = ready.saturating_sub(k * r);
+            last_fetch = f;
         }
-        // Window full. Retirement frees slots once the head completes;
-        // issue attempts are either exhausted (issue queue empty), capped
-        // (needs a completion), or stalled (needs the memory system to
-        // drain a queue) — all external events.
-        match self.rob.front() {
-            Some(SlotState::Done(c)) => Some((*c).max(now + 1)),
-            _ => None,
+        Walked {
+            t,
+            fetch: false,
+            retired,
+            fetched,
+            last_fetch,
         }
     }
 
-    /// Whether `tick(now, ..)` would provably change nothing: the window
-    /// is full, the head has not completed, and no issue attempt can run
-    /// (issue queue empty, or the MLP cap is reached). A driver may skip
-    /// the call entirely — the tick would not touch any state, draw any
-    /// randomness, or invoke the issue callback.
-    #[must_use]
-    #[inline]
-    pub fn tick_is_noop(&self, now: Cycle) -> bool {
-        self.rob.len() == self.window
-            && !matches!(self.rob.front(), Some(SlotState::Done(c)) if *c <= now)
-            && (self.waiting.is_empty() || self.outstanding >= self.effective_mlp())
+    /// Runs the ticks `next_tick..t` in closed form, recording the
+    /// progress milestones they cross into `log`, and returns how they
+    /// were spent. Exactly equivalent to calling [`tick`](Self::tick) for
+    /// each of them, provided none of them fetches a memory op (`t` is at
+    /// most [`next_event`](Self::next_event)), no completion arrives
+    /// before `t`, and every issue attempt in between would stall again
+    /// (a caller knows this from the memory hierarchy being unchanged
+    /// since the last stall).
+    pub fn advance_to(&mut self, t: Cycle, log: Option<&mut ProgressLog>) -> SpanClasses {
+        if let Some((walked, classes)) = self.ahead.take() {
+            if walked.t == t && log.is_none() {
+                self.apply(&walked);
+                return classes;
+            }
+        }
+        let (walked, classes) = self.walk_classified(t, log);
+        debug_assert!(
+            walked.t == t || t < self.next_tick,
+            "advance_to({t}) runs past the memory-op fetch at {}",
+            walked.t
+        );
+        self.apply(&walked);
+        classes
     }
 
-    /// Whether the *only* thing `tick(now, ..)` could do is re-attempt a
-    /// previously stalled head issue: no retirement, no fetch, but the
-    /// issue queue is non-empty under the MLP cap. If the memory
-    /// hierarchy's stall answer is known to be unchanged since the last
-    /// attempt, a driver may skip the call — the re-attempt would stall
-    /// again without side effects (the stall path mutates nothing).
+    /// [`walk`](Self::walk) to `end`, counting its ticks by class and
+    /// recording the milestones they cross into `log`.
+    fn walk_classified(
+        &self,
+        end: Cycle,
+        mut log: Option<&mut ProgressLog>,
+    ) -> (Walked, SpanClasses) {
+        let mut classes = SpanClasses::default();
+        let mut retired = self.retired;
+        let walked = self.walk(end, |first, ticks, per_tick, class| {
+            if let Some(log) = log.as_deref_mut() {
+                log.record_steady(retired, per_tick, first, ticks);
+            }
+            retired += per_tick * ticks;
+            match class {
+                HeadStall::Progress => classes.progress += ticks,
+                HeadStall::HitWait => classes.hit_wait += ticks,
+                HeadStall::Backpressure => classes.backpressure += ticks,
+                HeadStall::MemStall => {
+                    classes.mem_stall += ticks;
+                    classes.first_mem_stall.get_or_insert(first);
+                }
+            }
+        });
+        (walked, classes)
+    }
+
+    /// Applies a walk from the current state: retires its ops from the
+    /// head (once the old entries are gone, out of the ops it fetched) and
+    /// appends the rest of its fetches as one compute run.
+    fn apply(&mut self, walked: &Walked) {
+        if walked.t <= self.next_tick {
+            return;
+        }
+        let mut left = walked.retired;
+        let mut tail = walked.fetched;
+        while left > 0 {
+            match self.rob.front_mut() {
+                Some(Entry::Compute(n)) => {
+                    let k = (*n).min(left);
+                    *n -= k;
+                    left -= k;
+                    if *n == 0 {
+                        self.pop_head();
+                    }
+                }
+                Some(_) => {
+                    self.pop_head();
+                    left -= 1;
+                }
+                None => {
+                    tail -= left;
+                    left = 0;
+                }
+            }
+        }
+        if tail > 0 {
+            self.push_compute(tail);
+        }
+        self.retired += walked.retired;
+        self.rob_ops = self.rob_ops + walked.fetched - walked.retired;
+        self.gap_left -= walked.fetched;
+        self.fetched_last = walked.last_fetch;
+        self.next_tick = walked.t;
+    }
+
+    /// The cycle of the next tick that does more than retire ready ops
+    /// and fetch non-memory ops: the tick that fetches the next memory
+    /// op, given that no completion arrives and every issue attempt keeps
+    /// stalling until then — or, behind a full window, the cycle its head
+    /// hit returns, an earlier bound that saves the walk. `None` means
+    /// that fetch waits on an external event (a
+    /// [`complete`](Self::complete) call, or a stall clearing) — both of
+    /// which only happen on cycles the memory system itself reports as
+    /// events, so a caller folding this with the memory system's
+    /// `next_event` never misses a wake-up (see DESIGN.md §8). Every tick
+    /// before the returned cycle can be caught up with
+    /// [`advance_to`](Self::advance_to).
     #[must_use]
-    #[inline]
-    pub fn only_stall_retry(&self, now: Cycle) -> bool {
-        self.rob.len() == self.window
-            && !matches!(self.rob.front(), Some(SlotState::Done(c)) if *c <= now)
-            && !self.waiting.is_empty()
-            && self.outstanding < self.effective_mlp()
+    pub fn next_event(&mut self) -> Option<Cycle> {
+        // Two cheap answers cover most memory-bound cores without a walk.
+        // Retiring only adds room, so when the window already has room for
+        // the rest of the gap and the memory op, the next tick fetches it.
+        let room = (self.window as u64 - self.rob_ops).min(self.width as u64);
+        if self.gap_left < room {
+            return Some(self.next_tick);
+        }
+        // A full window behind a head that is not ready fetches nothing
+        // until the head's data arrives: waking then is a lower bound.
+        if room == 0 {
+            match self.rob.front() {
+                Some(Entry::Outstanding | Entry::WaitIssue(_)) => return None,
+                Some(&Entry::Done(c)) if c >= self.next_tick => return Some(c),
+                _ => {}
+            }
+        }
+        let (walked, classes) = self.walk_classified(Cycle::MAX, None);
+        if !walked.fetch {
+            return None;
+        }
+        self.ahead = Some((walked, classes));
+        Some(walked.t)
     }
 
     /// Delivers data for a pending access issued earlier; `finish` is the
@@ -403,30 +673,33 @@ impl Core {
     /// fills the core never waited on).
     #[inline]
     pub fn complete(&mut self, token: u64, finish: Cycle) {
+        self.ahead = None;
         if let Some(pos) = self.tokens.iter().position(|&(t, _)| t == token) {
-            let (_, id) = self.tokens.swap_remove(pos);
-            let idx = (id - self.first_id) as usize;
-            self.rob[idx] = SlotState::Done(finish);
+            let (_, seq) = self.tokens.swap_remove(pos);
+            let idx = (seq - self.first_seq) as usize;
+            self.rob[idx] = Entry::Done(finish);
             self.outstanding -= 1;
         }
     }
 
-    /// What the reorder-buffer head is blocked on at `now` (post-tick) —
-    /// the per-cycle fact driving ground-truth cycle attribution. The
-    /// mapping is exhaustive: a `Done` head that is ready (or an empty /
-    /// non-full window) is progress; a future `Done` is hit latency; a
-    /// `WaitIssue` head is memory backpressure (a head waiting to issue
+    /// What the reorder-buffer head is blocked on after the tick at `now`
+    /// (the last tick run) — the per-cycle fact driving ground-truth cycle
+    /// attribution. The mapping is exhaustive: a ready head (or an empty
+    /// window) is progress; a hit still in flight — a future `Done`, or a
+    /// non-memory op fetched by this very tick — is hit latency; a head
+    /// waiting to issue is memory backpressure (a head waiting to issue
     /// implies program-order issue already drained every older op, so the
     /// core has zero outstanding requests and the only obstacle is the
-    /// memory system refusing the access); an `Outstanding` head is a
+    /// memory system refusing the access); an outstanding head is a
     /// memory stall whose component is decided when its data returns.
     #[must_use]
     #[inline]
     pub fn head_stall(&self, now: Cycle) -> HeadStall {
         match self.rob.front() {
-            Some(SlotState::Done(c)) if *c > now => HeadStall::HitWait,
-            Some(SlotState::WaitIssue(_)) => HeadStall::Backpressure,
-            Some(SlotState::Outstanding) => HeadStall::MemStall,
+            Some(Entry::Done(c)) if *c > now => HeadStall::HitWait,
+            Some(Entry::Compute(_)) if self.rob_ops <= self.fetched_last => HeadStall::HitWait,
+            Some(Entry::WaitIssue(_)) => HeadStall::Backpressure,
+            Some(Entry::Outstanding) => HeadStall::MemStall,
             _ => HeadStall::Progress,
         }
     }
@@ -440,18 +713,19 @@ impl Core {
     #[must_use]
     #[inline]
     pub fn blocking_token(&self) -> Option<u64> {
-        if !matches!(self.rob.front(), Some(SlotState::Outstanding)) {
+        if !matches!(self.rob.front(), Some(Entry::Outstanding)) {
             return None;
         }
         self.tokens
             .iter()
-            .find(|&&(_, id)| id == self.first_id)
+            .find(|&&(_, seq)| seq == self.first_seq)
             .map(|&(t, _)| t)
     }
 
-    /// Serializes the core's dynamic state — ROB contents, issue/waiting
-    /// queues, outstanding tokens, RNG position, fetch gap, throttle, and
-    /// lifetime counters — for checkpointing. The profile-derived
+    /// Serializes the core's dynamic state — ROB entries, issue/waiting
+    /// queues, outstanding tokens, RNG position, fetch gap, tick position,
+    /// throttle, and lifetime counters — for checkpointing. Entries are
+    /// referenced by their index from the head. The profile-derived
     /// parameters (window, width, MLP, memory probability) and the access
     /// source's configuration are structural: the restore target must be
     /// constructed from the same profile and seed.
@@ -460,37 +734,43 @@ impl Core {
         self.typ_rng.save_state(w);
         w.opt_u64(self.mlp_throttle.map(u64::from));
         w.usize(self.rob.len());
-        for slot in &self.rob {
-            match slot {
-                SlotState::Done(c) => {
+        for e in &self.rob {
+            match e {
+                Entry::Done(c) => {
                     w.u8(0);
                     w.u64(*c);
                 }
-                SlotState::WaitIssue(op) => {
+                Entry::WaitIssue(op) => {
                     w.u8(1);
                     w.u64(op.line.raw());
                     w.bool(op.is_write);
                 }
-                SlotState::Outstanding => w.u8(2),
+                Entry::Outstanding => w.u8(2),
+                Entry::Compute(n) => {
+                    w.u8(3);
+                    w.u64(*n);
+                }
             }
         }
-        w.u64(self.first_id);
-        w.u64(self.next_id);
+        // The program-order id range the entries cover.
+        w.u64(self.retired);
+        w.u64(self.retired + self.rob_ops);
         w.usize(self.waiting.len());
-        for &id in &self.waiting {
-            w.u64(id);
+        for &seq in &self.waiting {
+            w.u64(seq - self.first_seq);
         }
         w.usize(self.tokens.len());
-        for &(token, id) in &self.tokens {
+        for &(token, seq) in &self.tokens {
             w.u64(token);
-            w.u64(id);
+            w.u64(seq - self.first_seq);
         }
         w.u32(self.outstanding);
         w.u64(self.gap_left);
-        w.u64(self.retired);
+        w.u64(self.next_tick);
+        w.u64(self.fetched_last);
         w.u64(self.mem_ops_issued);
         w.u64(self.stall_episodes);
-        w.opt_u64(self.last_stall_id);
+        w.bool(self.stall_counted);
     }
 
     /// Restores state captured by [`save_state`](Self::save_state) into a
@@ -513,71 +793,98 @@ impl Core {
             Some(t) => Some(u32::try_from(t).map_err(|_| corrupt("throttle out of range"))?),
             None => None,
         };
-        let rob_len = r.checked_len(1)?;
-        if rob_len > self.window {
-            return Err(corrupt("ROB larger than window"));
+        let entries = r.checked_len(1)?;
+        if entries > self.window {
+            return Err(corrupt("more entries than the window"));
         }
-        let mut rob = VecDeque::with_capacity(self.window);
-        for _ in 0..rob_len {
-            rob.push_back(match r.u8()? {
-                0 => SlotState::Done(r.u64()?),
+        let mut rob = VecDeque::with_capacity(entries);
+        let mut rob_ops: u64 = 0;
+        for _ in 0..entries {
+            let e = match r.u8()? {
+                0 => Entry::Done(r.u64()?),
                 1 => {
                     let line = LineAddr::new(r.u64()?);
                     let is_write = r.bool()?;
-                    SlotState::WaitIssue(MemOp { line, is_write })
+                    Entry::WaitIssue(MemOp { line, is_write })
                 }
-                2 => SlotState::Outstanding,
-                b => return Err(corrupt(&format!("slot tag {b}"))),
-            });
+                2 => Entry::Outstanding,
+                3 => match r.u64()? {
+                    0 => return Err(corrupt("zero-length compute run")),
+                    n if matches!(rob.back(), Some(Entry::Compute(_))) => {
+                        return Err(corrupt(&format!("compute run of {n} follows another")))
+                    }
+                    n => Entry::Compute(n),
+                },
+                b => return Err(corrupt(&format!("entry tag {b}"))),
+            };
+            rob_ops = match e {
+                Entry::Compute(n) => rob_ops.checked_add(n),
+                _ => rob_ops.checked_add(1),
+            }
+            .filter(|&ops| ops <= self.window as u64)
+            .ok_or_else(|| corrupt("runs exceed the window"))?;
+            rob.push_back(e);
         }
         let first_id = r.u64()?;
         let next_id = r.u64()?;
-        if next_id - first_id != rob_len as u64 {
-            return Err(corrupt("id range does not match ROB"));
+        if next_id.checked_sub(first_id) != Some(rob_ops) {
+            return Err(corrupt("id range does not match the entries"));
         }
+        let entry_at = |idx: u64| usize::try_from(idx).ok().and_then(|i| rob.get(i));
         let waiting_len = r.checked_len(8)?;
         let mut waiting = VecDeque::with_capacity(waiting_len);
         for _ in 0..waiting_len {
-            waiting.push_back(r.u64()?);
+            let idx = r.u64()?;
+            if !matches!(entry_at(idx), Some(Entry::WaitIssue(_))) {
+                return Err(corrupt("waiting id does not point at a waiting entry"));
+            }
+            if waiting.back().is_some_and(|&prev| prev >= idx) {
+                return Err(corrupt("waiting ids out of program order"));
+            }
+            waiting.push_back(idx);
+        }
+        if rob.iter().filter(|e| matches!(e, Entry::WaitIssue(_))).count() != waiting_len {
+            return Err(corrupt("waiting entries missing from the issue queue"));
         }
         let token_len = r.checked_len(16)?;
         let mut tokens = Vec::with_capacity(token_len);
         for _ in 0..token_len {
-            tokens.push((r.u64()?, r.u64()?));
+            let token = r.u64()?;
+            let idx = r.u64()?;
+            if !matches!(entry_at(idx), Some(Entry::Outstanding)) {
+                return Err(corrupt("token id does not point at an outstanding entry"));
+            }
+            if tokens.iter().any(|&(_, i)| i == idx) {
+                return Err(corrupt("two tokens for one entry"));
+            }
+            tokens.push((token, idx));
         }
         let outstanding = r.u32()?;
-        if outstanding as usize != token_len {
+        if outstanding as usize != token_len
+            || rob.iter().filter(|e| matches!(e, Entry::Outstanding)).count() != token_len
+        {
             return Err(corrupt("outstanding count does not match tokens"));
         }
-        for &id in &waiting {
-            let idx = id
-                .checked_sub(first_id)
-                .filter(|&i| (i as usize) < rob_len)
-                .ok_or_else(|| corrupt("waiting id outside ROB"))?;
-            if !matches!(rob[idx as usize], SlotState::WaitIssue(_)) {
-                return Err(corrupt("waiting id points at non-waiting slot"));
-            }
+        let gap_left = r.u64()?;
+        let next_tick = r.u64()?;
+        let fetched_last = r.u64()?;
+        if fetched_last > self.width as u64 {
+            return Err(corrupt("fetched more than the width"));
         }
-        for &(_, id) in &tokens {
-            let idx = id
-                .checked_sub(first_id)
-                .filter(|&i| (i as usize) < rob_len)
-                .ok_or_else(|| corrupt("token id outside ROB"))?;
-            if !matches!(rob[idx as usize], SlotState::Outstanding) {
-                return Err(corrupt("token id points at non-outstanding slot"));
-            }
-        }
+        self.ahead = None;
         self.rob = rob;
-        self.first_id = first_id;
-        self.next_id = next_id;
+        self.first_seq = 0;
+        self.rob_ops = rob_ops;
         self.waiting = waiting;
         self.tokens = tokens;
         self.outstanding = outstanding;
-        self.gap_left = r.u64()?;
-        self.retired = r.u64()?;
+        self.gap_left = gap_left;
+        self.next_tick = next_tick;
+        self.fetched_last = fetched_last;
+        self.retired = first_id;
         self.mem_ops_issued = r.u64()?;
         self.stall_episodes = r.u64()?;
-        self.last_stall_id = r.opt_u64()?;
+        self.stall_counted = r.bool()?;
         Ok(())
     }
 }
@@ -598,6 +905,21 @@ mod tests {
         }
         let ipc = core.retired() as f64 / 1_000.0;
         assert!(ipc > 2.9, "IPC {ipc}");
+    }
+
+    #[test]
+    fn head_fetched_this_tick_is_hit_wait() {
+        // A non-memory op completes the cycle after its fetch, so a head
+        // fetched by the tick just run is still in flight.
+        let mut core = Core::new(AppId::new(0), &profile(0), 1);
+        core.tick(0, &mut |_, _| MemIssueResult::Stall);
+        assert_eq!(core.head_stall(0), HeadStall::HitWait);
+        // A full-width steady state retires every op and refetches.
+        let mut narrow = Core::with_window(AppId::new(0), &profile(0), 1, 3, 3);
+        for now in 0..10 {
+            narrow.tick(now, &mut |_, _| MemIssueResult::Stall);
+        }
+        assert_eq!(narrow.head_stall(9), HeadStall::HitWait);
     }
 
     #[test]
@@ -720,7 +1042,69 @@ mod tests {
                 MemIssueResult::Pending(token)
             });
         }
-        assert!(core.rob.len() <= 16);
+        assert!(core.rob_ops <= 16);
+    }
+
+    /// A real snapshot, mutated one way per case, must be rejected with
+    /// an error — never a panic, never a silently inconsistent core.
+    #[test]
+    fn restore_rejects_inconsistent_run_length_state() {
+        use asm_simcore::persist::{StateReader, StateWriter};
+        let p = AppProfile::builder("t").mem_per_kilo(100).mlp(2).build();
+        let fresh = || Core::new(AppId::new(0), &p, 3);
+        let mut core = fresh();
+        let mut token = 0u64;
+        for now in 0..400 {
+            core.tick(now, &mut |_, _| {
+                token += 1;
+                MemIssueResult::Pending(token)
+            });
+        }
+        // Outstanding misses, ops waiting to issue, and compute runs.
+        assert_eq!(core.outstanding(), 2);
+        assert!(!core.waiting.is_empty());
+        let compute_seq = core.first_seq
+            + core
+                .rob
+                .iter()
+                .position(|e| matches!(e, Entry::Compute(_)))
+                .expect("a compute run") as u64;
+        let save = |c: &Core| {
+            let mut w = StateWriter::new("core", 1);
+            c.save_state(&mut w);
+            w.finish()
+        };
+        let restore = |bytes: &[u8]| {
+            let mut r = StateReader::new(bytes, "core", 1).expect("header");
+            fresh().restore_state(&mut r)
+        };
+        let snapshot = save(&core);
+        let mutated = |mutate: &dyn Fn(&mut Core)| {
+            let mut c = fresh();
+            let mut r = StateReader::new(&snapshot, "core", 1).expect("header");
+            c.restore_state(&mut r).expect("the real snapshot restores");
+            mutate(&mut c);
+            restore(&save(&c))
+        };
+        let idx = (compute_seq - core.first_seq) as usize;
+        let cases: [(&str, &dyn Fn(&mut Core)); 5] = [
+            ("zero-length compute run", &|c| c.rob[idx] = Entry::Compute(0)),
+            ("runs exceed the window", &|c| {
+                if let Entry::Compute(n) = &mut c.rob[idx] {
+                    *n += DEFAULT_WINDOW as u64;
+                }
+                c.rob_ops += DEFAULT_WINDOW as u64;
+            }),
+            ("id range does not match", &|c| c.rob_ops += 1),
+            ("waiting id does not point", &|c| c.waiting[0] = idx as u64),
+            ("token id does not point", &|c| c.tokens[0].1 = idx as u64),
+        ];
+        for (want, mutate) in cases {
+            match mutated(mutate) {
+                Err(e) => assert!(e.to_string().contains(want), "{want}: got {e}"),
+                Ok(()) => panic!("{want}: accepted"),
+            }
+        }
     }
 
     #[test]
@@ -781,7 +1165,7 @@ mod proptests {
                     }
                     _ => MemIssueResult::Stall,
                 });
-                prop_assert!(core.rob.len() <= DEFAULT_WINDOW, "ROB overflow");
+                prop_assert!(core.rob_ops <= DEFAULT_WINDOW as u64, "ROB overflow");
                 prop_assert!(core.outstanding() <= mlp, "MLP cap violated");
                 prop_assert!(core.retired() >= last_retired, "retirement regressed");
                 prop_assert!(

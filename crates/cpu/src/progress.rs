@@ -85,6 +85,27 @@ impl ProgressLog {
         }
     }
 
+    /// Records `ticks` consecutive cycles starting at `first`, each
+    /// retiring `per_tick` instructions on top of `retired` — exactly what
+    /// calling [`record`](Self::record) after every one of those cycles
+    /// would record, at a cost of one step per milestone crossed.
+    pub fn record_steady(&mut self, retired: u64, per_tick: u64, first: Cycle, ticks: u64) {
+        if per_tick == 0 || ticks == 0 {
+            return;
+        }
+        let end = retired + per_tick * ticks;
+        loop {
+            let target = (self.cycles.len() as u64 + 1) * self.interval;
+            if target > end {
+                break;
+            }
+            // Cycles needed to reach `target`: the first `j` with
+            // `retired + j * per_tick >= target` (at least one).
+            let j = target.saturating_sub(retired).div_ceil(per_tick).max(1);
+            self.cycles.push(first + j - 1);
+        }
+    }
+
     /// Number of milestones recorded.
     #[must_use]
     pub fn milestones(&self) -> usize {

@@ -23,6 +23,9 @@
 
 /// Whole-system executed-cycle gauge.
 pub const SYS_EXECUTED_CYCLES: &str = "sys.executed_cycles";
+/// Whole-system gauge of `Core::tick` calls (the core cycles skip mode
+/// neither elided nor caught up in closed form).
+pub const SYS_CORE_TICKS: &str = "sys.core_ticks";
 /// Whole-system dropped-writeback gauge.
 pub const SYS_DROPPED_WRITEBACKS: &str = "sys.dropped_writebacks";
 

@@ -47,6 +47,12 @@ METRICS = [
     ("skip-mode speedup (mcf mix)",
      ("ratio", "sim_throughput/mcf_mix_10m_no_skip", "sim_throughput/mcf_mix_10m_skip"),
      lambda r: f"{r:.2f}x"),
+    ("sim throughput, compute mix (cycles/s, skip)", "sim_throughput/compute_mix_10m_skip", fmt_cps),
+    ("sim throughput, compute mix (cycles/s, no skip)",
+     "sim_throughput/compute_mix_10m_no_skip", fmt_cps),
+    ("skip-mode speedup (compute mix)",
+     ("ratio", "sim_throughput/compute_mix_10m_no_skip", "sim_throughput/compute_mix_10m_skip"),
+     lambda r: f"{r:.2f}x"),
     ("LLC mixed access, 100k (min)", "cache/llc_access_mixed_100k", fmt_us),
     ("FR-FCFS stream, 2k requests (min)", "dram/stream_2k_requests_FRFCFS", fmt_us),
     ("telemetry idle over off",

@@ -3,7 +3,11 @@
 # histories:
 #
 #   1. cargo build --release --all-targets   (every crate, bench, example)
-#   2. cargo test -q                         (unit + integration + doc)
+#   2. cargo test -q                         (unit + integration + doc of
+#                                             every default member: the
+#                                             root package and crates/*,
+#                                             per `default-members` in
+#                                             Cargo.toml)
 #   3. cargo run -p asm-lint --release       (workspace determinism lint;
 #                                             exit 1 on any violation)
 #   4. asm-experiments xval --tiny           (analytic-tier smoke: both
@@ -54,7 +58,7 @@ while [[ $# -gt 0 ]]; do
             shift 2
             ;;
         -h|--help)
-            sed -n '2,43p' "$0" | sed 's/^# \{0,1\}//'
+            sed -n '2,47p' "$0" | sed 's/^# \{0,1\}//'
             exit 0
             ;;
         *)
